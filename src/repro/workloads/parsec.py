@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from repro.workloads.patterns import (
     PatternMix,
     sequential_stream,
+    shared_tables,
     strided_sweep,
     uniform_scatter,
     zipf_hot_set,
@@ -114,11 +115,16 @@ class ParsecProfile:
 
     def traces(self, accesses_per_core: int, region_blocks: int,
                cores: int = 4, seed: int = 1) -> list:
-        """Generate the 4-thread workload of Table 1."""
-        return [
-            self.trace(accesses_per_core, region_blocks, core, seed)
-            for core in range(cores)
-        ]
+        """Generate the 4-thread workload of Table 1.
+
+        The cores build their zipf_hot_set tables once per call and share
+        them; each core's trace equals :meth:`trace` for that core.
+        """
+        with shared_tables():
+            return [
+                self.trace(accesses_per_core, region_blocks, core, seed)
+                for core in range(cores)
+            ]
 
 
 def _clamp(blocks: int, region_blocks: int) -> int:

@@ -13,9 +13,32 @@ counters (see :mod:`repro.workloads` for the mapping to paper behaviour).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 BLOCK_BYTES = 64
+
+#: The zipf_hot_set tables of the open :func:`shared_tables` block, keyed
+#: by the geometry that determines them; ``None`` outside such a block.
+_shared: ContextVar[dict | None] = ContextVar("zipf_tables", default=None)
+
+
+@contextmanager
+def shared_tables() -> Iterator[None]:
+    """Let the zipf_hot_set objects built in the block share their tables.
+
+    A table is a pure function of its geometry, so the first pattern of a
+    geometry builds it and the others read it.  The tables are dropped
+    when the block exits: the next block builds them afresh.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
 
 
 class sequential_stream:
@@ -109,47 +132,16 @@ class zipf_hot_set:
         self.cluster_blocks = cluster_blocks
         self.cluster_stride = cluster_stride
         self.span_blocks = span_blocks or hot_blocks
-        # Precompute the CDF once; sampling is then a bisect.
-        weights = [1.0 / (rank + 1) ** s for rank in range(hot_blocks)]
-        total = sum(weights)
-        cumulative = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
-        self._cdf = cumulative
-        # Spatial placement: popularity ranks fill *clusters* whose
-        # geometry is what the counter-scheme comparisons hinge on:
-        #
-        # * cluster_blocks=1                     -- isolated hot blocks
-        #   scattered among cold neighbours (delta-group widening captures
-        #   each one; delta_min stays 0),
-        # * cluster_blocks=16, cluster_stride=1  -- a hot object filling
-        #   one aligned delta-group (the single-widening best case),
-        # * cluster_blocks=2, cluster_stride=16  -- hot pairs landing in
-        #   two delta-groups of one block-group (only one can widen: the
-        #   dual-length worst case, cf. facesim in Table 2).
-        #
-        # Cluster origins are scattered pseudo-randomly over
-        # ``span_blocks`` so hot clusters sit far apart when the span
-        # exceeds the hot set.
-        slot_blocks = cluster_blocks * cluster_stride
-        slots = max(1, self.span_blocks // slot_blocks)
-        order = list(range(slots))
-        random.Random(0xC0FFEE ^ hot_blocks ^ slots).shuffle(order)
-        placement = []
-        for rank in range(hot_blocks):
-            cluster = order[(rank // cluster_blocks) % slots]
-            offset = rank % cluster_blocks
-            placement.append(
-                (cluster * slot_blocks + offset * cluster_stride)
-                % self.span_blocks
-            )
-        self._placement = placement
+        key = (hot_blocks, s, cluster_blocks, cluster_stride,
+               self.span_blocks)
+        tables = _shared.get()
+        if tables is None:
+            tables = {}  # outside shared_tables(): a private table
+        if key not in tables:
+            tables[key] = _zipf_tables(*key)
+        self._cdf, self._placement = tables[key]
 
     def next_block(self, rng: random.Random) -> tuple:
-        import bisect
-
         if self._run_remaining > 0:
             block = self.base_block + (
                 self._run_current % self.span_blocks
@@ -157,13 +149,57 @@ class zipf_hot_set:
             self._run_current += 1
             self._run_remaining -= 1
             return block, rng.random() < self.write_fraction
-        rank = bisect.bisect_left(self._cdf, rng.random())
+        rank = bisect_left(self._cdf, rng.random())
         rank = min(rank, self.hot_blocks - 1)
         placed = self._placement[rank]
         if self.run_blocks > 1:
             self._run_current = placed + 1
             self._run_remaining = self.run_blocks - 1
         return self.base_block + placed, rng.random() < self.write_fraction
+
+
+def _zipf_tables(hot_blocks: int, s: float, cluster_blocks: int,
+                 cluster_stride: int, span_blocks: int) -> tuple:
+    """Build a zipf_hot_set's read-only ``(cdf, placement)`` tables."""
+    # Precompute the CDF once; sampling is then a bisect.  The total is
+    # summed left to right in a loop: ``sum()`` compensates rounding
+    # error from Python 3.12 on, which would shift the CDF by an ulp.
+    weights = [1.0 / (rank + 1) ** s for rank in range(hot_blocks)]
+    total = 0.0
+    for w in weights:
+        total += w
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    # Spatial placement: popularity ranks fill *clusters* whose
+    # geometry is what the counter-scheme comparisons hinge on:
+    #
+    # * cluster_blocks=1                     -- isolated hot blocks
+    #   scattered among cold neighbours (delta-group widening captures
+    #   each one; delta_min stays 0),
+    # * cluster_blocks=16, cluster_stride=1  -- a hot object filling
+    #   one aligned delta-group (the single-widening best case),
+    # * cluster_blocks=2, cluster_stride=16  -- hot pairs landing in
+    #   two delta-groups of one block-group (only one can widen: the
+    #   dual-length worst case, cf. facesim in Table 2).
+    #
+    # Cluster origins are scattered pseudo-randomly over
+    # ``span_blocks`` so hot clusters sit far apart when the span
+    # exceeds the hot set.
+    slot_blocks = cluster_blocks * cluster_stride
+    slots = max(1, span_blocks // slot_blocks)
+    order = list(range(slots))
+    random.Random(0xC0FFEE ^ hot_blocks ^ slots).shuffle(order)
+    placement = []
+    for rank in range(hot_blocks):
+        cluster = order[(rank // cluster_blocks) % slots]
+        offset = rank % cluster_blocks
+        placement.append(
+            (cluster * slot_blocks + offset * cluster_stride) % span_blocks
+        )
+    return cdf, placement
 
 
 class uniform_scatter:
