@@ -41,12 +41,7 @@ from repro.core.engine.config import PRESETS, preset
 from repro.core.engine.secure_memory import SecureMemory
 from repro.fast.backends import keystream_backends
 from repro.fast.kernels import MODES as KERNEL_MODES
-from repro.harness.parallel import (
-    TRANSPORTS,
-    BenchSpec,
-    dump_payload,
-    run_bench,
-)
+from repro.harness.parallel import BenchSpec, dump_payload, run_bench
 from repro.harness.study import (
     DEFAULT_KEYSTREAMS,
     DEFAULT_MODES,
@@ -209,9 +204,7 @@ def _cmd_bench(args) -> int:
         keystream=args.keystream,
         paranoid_sample=args.paranoid_sample,
     )
-    payload = run_bench(
-        spec, workers=args.workers, transport=args.transport
-    )
+    payload = run_bench(spec, workers=args.workers)
     rows = [
         [
             app,
@@ -354,7 +347,7 @@ def _cmd_resilience(args) -> int:
     # last retirements), so it runs after the summaries are printed.
     mismatches = campaign.verify_all()
     print(f"\nfinal ground-truth sweep: {mismatches} mismatches over "
-          f"{len(campaign.shadow)} written blocks")
+          f"{len(campaign.oracle.acked)} written blocks")
     sound = report.reconciles() and report.sdc_total == 0 and not mismatches
     if args.json_out:
         artifact = report.as_dict()
@@ -688,7 +681,6 @@ def _cmd_study(args) -> int:
         modes=tuple(args.modes),
         workers=tuple(args.workers_list),
         presets=tuple(args.presets),
-        transport=args.transport,
     )
     payload = run_study(spec, jobs=args.jobs)
     rows = [
@@ -802,10 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keystream backend (reference/fast/aesni run "
                         "real AES with different execution strategies; "
                         "splitmix is the simulation PRF)")
-    p.add_argument("--transport", choices=list(TRANSPORTS), default="shm",
-                   help="how block batches reach pool workers: shm "
-                        "(zero-copy shared-memory views) or pickle; "
-                        "never changes the payload")
     p.add_argument("--json-out", metavar="FILE", default=None,
                    help="write the merged bench payload as JSON")
     p.set_defaults(func=_cmd_bench)
@@ -836,8 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="worker counts to sweep")
     p.add_argument("--presets", nargs="+", default=["combined"],
                    choices=sorted(PRESETS), metavar="PRESET")
-    p.add_argument("--transport", choices=list(TRANSPORTS), default="shm",
-                   help="bench transport used by every flavor")
     p.add_argument("--jobs", type=int, default=None,
                    help="post-processing pool size (default: cpu-bound)")
     p.add_argument("--json-out", metavar="FILE", default=None,

@@ -8,32 +8,25 @@ every written block back and checks the payloads round-tripped.  Each
 application runs under its own fresh :class:`MetricRegistry`; the
 per-app registries are merged into one ``BENCH_*.json``-shaped payload.
 
-Two transports move work to the pool, selected by ``run_bench``'s
-``transport`` argument:
-
-* ``"shm"`` (default) -- the parent generates each app's write-back
-  stream once, publishes the block indices as an int64 array in a
-  ``multiprocessing.shared_memory`` segment, and workers attach a numpy
-  view: the block batch crosses the process boundary zero-copy instead
-  of being pickled through the pool pipe.  The parent owns every
-  segment and unlinks them all in a ``finally``, so worker crashes
-  cannot leak ``/dev/shm`` entries.
-* ``"pickle"`` -- the legacy path: workers receive ``(app, spec)`` and
-  regenerate their traces locally.
+The parent generates each app's write-back stream once, publishes the
+block indices as an int64 array in a ``multiprocessing.shared_memory``
+segment, and workers attach a numpy view: the block batch crosses the
+process boundary zero-copy instead of being pickled through the pool
+pipe.  The parent owns every segment and unlinks them all in a
+``finally``, so worker crashes cannot leak ``/dev/shm`` entries.
 
 Determinism contract (pinned by ``tests/fast/test_parallel_bench.py``):
-the merged payload is **byte-identical** for any worker count *and
-either transport* on the same seed.  Three rules keep it that way:
+the merged payload is **byte-identical** for any worker count on the
+same seed.  Three rules keep it that way:
 
 * apps are independent -- each app's whole world (traces, engine, key)
   is derived from ``(app, seed)`` alone, never from shared state;
-* the payload carries no wall-clock, PID, hostname, worker count or
-  transport name;
+* the payload carries no wall-clock, PID, hostname or worker count;
 * every dict in the payload is emitted with sorted keys.
 
 ``workers=1`` runs inline (no pool), so single-process debugging hits
-the exact same code path the pool workers execute -- including, under
-the shm transport, the attach-to-segment path.
+the exact same code path the pool workers execute -- including the
+attach-to-segment path.
 """
 
 from __future__ import annotations
@@ -70,13 +63,11 @@ SHM_PREFIX = "repro-bench-"
 
 _SHM_SEQ = itertools.count()
 
-TRANSPORTS = ("shm", "pickle")
-
 
 @dataclass(frozen=True)
 class BenchSpec:
     """Everything that determines one bench run's payload (and nothing
-    that doesn't -- worker count and transport are deliberately absent)."""
+    that doesn't -- the worker count is deliberately absent)."""
 
     apps: tuple = ()
     mode: str = "fast"
@@ -164,12 +155,12 @@ def _trace_writebacks(app: str, spec: BenchSpec) -> tuple[list, int]:
 
 
 def prepare_app(app: str, spec: BenchSpec) -> tuple[np.ndarray, int, dict]:
-    """Parent-side trace prep for the shm transport.
+    """Parent-side trace prep: the write-back stream a worker replays.
 
     Returns ``(block indices as int64 array, instruction count, metric
-    totals from trace generation)``.  The totals travel with the task so
-    the merged payload is identical to the pickle path, where the same
-    trace generation meters into the worker's own registry.
+    totals from trace generation)``.  The totals travel with the task
+    and merge into the app's own, so the payload counts trace
+    generation wherever it ran.
     """
     registry = MetricRegistry()
     with use_registry(registry):
@@ -181,20 +172,16 @@ def prepare_app(app: str, spec: BenchSpec) -> tuple[np.ndarray, int, dict]:
 def run_app(
     app: str,
     spec: BenchSpec,
-    prepared: tuple[Sequence[int], int] | None = None,
+    prepared: tuple[Sequence[int], int],
 ) -> tuple[dict, dict]:
     """Run one application; returns (app results, metric totals).
 
     ``prepared`` supplies ``(writebacks, instructions)`` from
-    :func:`prepare_app` (shm transport); when absent the traces are
-    generated here, under this app's registry (pickle transport).
+    :func:`prepare_app`.
     """
+    writebacks, instructions = prepared
     registry = MetricRegistry()
     with use_registry(registry):
-        if prepared is None:
-            writebacks, instructions = _trace_writebacks(app, spec)
-        else:
-            writebacks, instructions = prepared
         region_bytes = spec.region_mb * 1024 * 1024
 
         config = preset(
@@ -239,13 +226,8 @@ def run_app(
     return app_results, registry.snapshot().totals()
 
 
-def _worker(task: tuple) -> tuple:
-    app, spec = task
-    return app, run_app(app, spec)
-
-
 def _worker_shm(task: tuple) -> tuple:
-    """Pool worker for the shm transport: attach, view, run, close.
+    """Pool worker: attach the app's segment, view, run, close.
 
     The segment is attached read-only in spirit: the worker copies the
     block indices out of the numpy view and closes its mapping
@@ -283,66 +265,40 @@ def _publish_segment(blocks: np.ndarray, app: str) -> shared_memory.SharedMemory
     return segment
 
 
-def run_bench(
-    spec: BenchSpec, workers: int = 1, transport: str = "shm"
-) -> dict:
+def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
     """Run every app in ``spec`` and merge into one payload.
 
     ``workers`` only chooses *where* apps run (inline vs a process
-    pool) and ``transport`` only chooses *how* block batches reach
-    them (shared-memory views vs pickled specs); neither may ever
-    change the payload.
+    pool); it may never change the payload.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (choices: {TRANSPORTS})"
-        )
-    apps = sorted(spec.apps)
-
-    if transport == "pickle":
-        tasks = [(app, spec) for app in apps]
+    segments: list[shared_memory.SharedMemory] = []
+    try:
+        tasks = []
+        for app in sorted(spec.apps):
+            blocks, instructions, prep_totals = prepare_app(app, spec)
+            segment = _publish_segment(blocks, app)
+            segments.append(segment)
+            tasks.append(
+                (app, spec, segment.name, len(blocks), instructions,
+                 prep_totals)
+            )
         if workers == 1:
-            outcomes = [_worker(task) for task in tasks]
+            outcomes = [_worker_shm(task) for task in tasks]
         else:
             with _pool_context().Pool(min(workers, len(tasks) or 1)) as pool:
-                outcomes = pool.map(_worker, tasks)
-    else:
-        segments: list[shared_memory.SharedMemory] = []
-        try:
-            tasks = []
-            for app in apps:
-                blocks, instructions, prep_totals = prepare_app(app, spec)
-                segment = _publish_segment(blocks, app)
-                segments.append(segment)
-                tasks.append(
-                    (
-                        app,
-                        spec,
-                        segment.name,
-                        len(blocks),
-                        instructions,
-                        prep_totals,
-                    )
-                )
-            if workers == 1:
-                outcomes = [_worker_shm(task) for task in tasks]
-            else:
-                with _pool_context().Pool(
-                    min(workers, len(tasks) or 1)
-                ) as pool:
-                    outcomes = pool.map(_worker_shm, tasks)
-        finally:
-            # The parent owns segment lifetime unconditionally: close
-            # and unlink everything even when a worker died mid-run, so
-            # crashes cannot leak /dev/shm entries.
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - paranoia
-                    pass
+                outcomes = pool.map(_worker_shm, tasks)
+    finally:
+        # The parent owns segment lifetime unconditionally: close and
+        # unlink everything even when a worker died mid-run, so crashes
+        # cannot leak /dev/shm entries.
+        for segment in segments:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - paranoia
+                pass
 
     results = {}
     for app, (app_results, _) in sorted(outcomes):
@@ -372,7 +328,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BenchSpec",
     "SHM_PREFIX",
-    "TRANSPORTS",
     "dump_payload",
     "merge_totals",
     "prepare_app",

@@ -116,7 +116,6 @@ class StudySpec:
     modes: tuple = DEFAULT_MODES
     workers: tuple = DEFAULT_WORKERS
     presets: tuple = DEFAULT_PRESETS
-    transport: str = "shm"
 
     def config_dict(self) -> dict:
         return {
@@ -129,7 +128,6 @@ class StudySpec:
             "modes": list(self.modes),
             "workers": list(self.workers),
             "presets": list(self.presets),
-            "transport": self.transport,
         }
 
     def flavors(self) -> tuple[list[Flavor], dict[str, str]]:
@@ -162,9 +160,7 @@ def run_flavor(flavor: Flavor, spec: StudySpec) -> dict:
     """Time one flavor's bench run; returns the raw record."""
     bench_spec = flavor.bench_spec(spec)
     started = time.perf_counter()
-    payload = run_bench(
-        bench_spec, workers=flavor.workers, transport=spec.transport
-    )
+    payload = run_bench(bench_spec, workers=flavor.workers)
     elapsed = time.perf_counter() - started
     return {
         "flavor": {

@@ -247,8 +247,10 @@ def recover(
         # grow, so the recovered state must dominate the checkpoint.
         for group, metadata in checkpoint.meta.items():
             floor = engine.scheme.decode_metadata(metadata)
+            # A group missing from storage reads as the engine's initial
+            # (all-zero) metadata, so a dropped group is a regression.
             now = engine.scheme.decode_metadata(
-                engine.counter_storage.get(group, metadata)
+                engine._stored_metadata(group)
             )
             for slot, (lo, cur) in enumerate(zip(floor, now)):
                 report.counters_checked += 1

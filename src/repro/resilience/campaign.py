@@ -19,9 +19,9 @@ Every injected fault is followed by a demand read of the faulted block
 exactly one primary outcome -- corrected, detected-uncorrectable,
 silently corrupting (never, if the paper is right), or absorbed by an
 earlier recovery on the same block -- and the totals reconcile.
-Background traffic (seeded random reads/writes with a ground-truth
-shadow) then exercises recurrence: stuck-at blocks keep producing CEs
-until the quarantine threshold retires them.
+Background traffic (seeded random reads/writes judged by a
+:class:`~repro.oracle.ShadowOracle`) then exercises recurrence: stuck-at
+blocks keep producing CEs until the quarantine threshold retires them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.faults import FaultScenario
 from repro.harness.reporting import format_series, format_table
+from repro.oracle import ShadowOracle
 from repro.resilience.errlog import EventOutcome
 from repro.resilience.recovery import RecoveryStage
 from repro.resilience.runtime import ResilientMemory
@@ -201,7 +202,7 @@ PRIMARY_OUTCOMES = (
     "due", "sdc", "absorbed",
 )
 
-_STAGE_TO_PRIMARY = {
+STAGE_TO_PRIMARY = {
     RecoveryStage.CLEAN: "absorbed",
     RecoveryStage.RETRY_CLEARED: "ce_retry",
     RecoveryStage.MAC_REPAIRED: "ce_mac_repair",
@@ -338,19 +339,15 @@ class FaultCampaign:
         self.rng = random.Random(seed)
         self.write_fraction = write_fraction
         self.scrub_interval = scrub_interval
-        #: ground truth: logical block -> expected plaintext
-        self.shadow: dict[int, bytes] = {}
+        #: ground truth, keyed by logical byte address
+        self.oracle = ShadowOracle()
         self._next_fault_id = 0
 
     # -- ground truth -------------------------------------------------------
 
-    def expected(self, block: int) -> bytes:
-        """What a read of a logical block must return (zeros if untouched)."""
-        return self.shadow.get(block, b"\x00" * BLOCK_BYTES)
-
     def _check_read(self, block: int, rec, report: CampaignReport) -> None:
-        """SDC detection: recovered data must match the shadow copy."""
-        if rec.ok and rec.data != self.expected(block):
+        """SDC detection: recovered data must match the ground truth."""
+        if rec.ok and not self.oracle.judge(block * BLOCK_BYTES, rec.data):
             report.sdc_total += 1
             self.memory.log.log(
                 cycle=self.memory.cycle,
@@ -363,7 +360,8 @@ class FaultCampaign:
 
     def _repair_due(self, block: int, report: CampaignReport) -> None:
         """Software repair after a DUE: rewrite the lost block."""
-        self.memory.write(block * BLOCK_BYTES, self.expected(block))
+        address = block * BLOCK_BYTES
+        self.memory.write(address, self.oracle.expected(address))
         report.due_rewrites += 1
 
     # -- fault handling -----------------------------------------------------
@@ -387,7 +385,7 @@ class FaultCampaign:
         report.injected[model.name] += 1
         rec = self.memory.read(address)
         report.reads += 1
-        primary = _STAGE_TO_PRIMARY[rec.stage]
+        primary = STAGE_TO_PRIMARY[rec.stage]
         self._check_read(spec.block, rec, report)
         report.primary.setdefault(model.name, Counter())[primary] += 1
         if not rec.ok:
@@ -403,7 +401,7 @@ class FaultCampaign:
                 BLOCK_BYTES, "little"
             )
             self.memory.write(address, data)
-            self.shadow[block] = data
+            self.oracle.ack([(address, data)])
             report.writes += 1
         else:
             rec = self.memory.read(address)
@@ -447,9 +445,9 @@ class FaultCampaign:
         """Final sweep: read every block ever written and count
         ground-truth mismatches (must be 0 for a sound run)."""
         mismatches = 0
-        for block in sorted(self.shadow):
-            rec = self.memory.read(block * BLOCK_BYTES)
-            if not rec.ok or rec.data != self.shadow[block]:
+        for address in sorted(self.oracle.acked):
+            rec = self.memory.read(address)
+            if not rec.ok or not self.oracle.judge(address, rec.data):
                 mismatches += 1
         return mismatches
 
@@ -482,4 +480,5 @@ __all__ = [
     "default_models",
     "poisson_draw",
     "PRIMARY_OUTCOMES",
+    "STAGE_TO_PRIMARY",
 ]

@@ -20,32 +20,25 @@ campaign, while the harness:
   recovery, DUE accounting, quarantine retirement, spare remapping);
 * crashes the stack at the end of every cycle (drop the volatile half,
   keep the store), runs full recovery via :meth:`EngineStack.recover`,
-  and verifies the rebuilt state against a **ground-truth shadow
-  model** before traffic resumes.
+  and verifies the rebuilt state against the ground-truth
+  :class:`~repro.oracle.ShadowOracle` before traffic resumes.
 
-Per-recovery verification (one violation string per breach):
-
-* **no SDC** -- every acknowledged block reads back its acknowledged
-  data (a detected-uncorrectable read is *not* a breach: the data was
-  destroyed by injected physics, flagged, and is repaired from the
-  shadow, exactly as the campaign engine does);
-* **no replay** -- no encryption counter regresses below its value at
-  the last acknowledgement, and a batched write that never flushed
-  never becomes durable;
-* **quarantine consistency** -- the recovered logical->physical
-  mapping, retired set, spare pool and degraded set exactly equal the
-  crash-time state (retire/degrade records are journaled immediately);
-  a block retired at any point in the campaign is never resurrected;
-* **telemetry consistency** -- the recovered error-log accounting and
-  CE/DUE health history equal the snapshot taken at the last explicit
-  checkpoint (telemetry is checkpoint-cadence durable by design, so
-  the harness checkpoints on a fixed cadence and keeps the shadow);
-* **integrity** -- recovery verified the Bonsai root (it refuses to
-  resume otherwise; the report records it).
+Per-recovery verification (one violation string per breach): every
+:meth:`~repro.oracle.ShadowOracle.check_recovered` invariant (root
+verified, anti-replay floors, a batched write that never flushed never
+becomes durable, the quarantine mapping equal to the sealed state, no
+retired block resurrected); **no SDC** -- every acknowledged block reads
+back its acknowledged data (a detected-uncorrectable read is *not* a
+breach: the data was destroyed by injected physics, flagged, and is
+repaired from the oracle, exactly as the campaign engine does); and
+**telemetry consistency** -- the recovered error-log accounting and
+CE/DUE health history equal the snapshot taken at the last explicit
+checkpoint (telemetry is checkpoint-cadence durable by design, so the
+harness checkpoints on a fixed cadence).
 
 Volatile fault state (registered stuck/in-flight masks) does *not*
 survive a crash: a power cycle is modeled as a fresh power-on of the
-memory parts.  What must survive -- and what the shadow model checks --
+memory parts.  What must survive -- and what the oracle checks --
 is the *durable* residue of every fault: the quarantine map that
 retired blocks, the spare pool it consumed, and the error-log totals.
 
@@ -58,7 +51,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.engine.config import EngineConfig, preset
@@ -66,23 +59,18 @@ from repro.core.engine.secure_memory import IntegrityError
 from repro.harness.reporting import format_series, format_table
 from repro.lint.contracts import BLOCK_BYTES
 from repro.obs.metrics import MetricRegistry
+from repro.oracle import ShadowOracle
 from repro.persist.config import DurabilityConfig
 from repro.persist.recovery import RecoveryError
 from repro.persist.store import DurableStore
-from repro.resilience.campaign import FaultModel, default_models
-from repro.resilience.recovery import RecoveryStage
+from repro.resilience.campaign import (
+    STAGE_TO_PRIMARY,
+    FaultModel,
+    default_models,
+)
 from repro.stack import EngineStack
 
-_ZERO_BLOCK = b"\x00" * BLOCK_BYTES
 BLOCK_BITS = BLOCK_BYTES * 8
-
-_STAGE_TO_PRIMARY = {
-    RecoveryStage.CLEAN: "absorbed",
-    RecoveryStage.RETRY_CLEARED: "ce_retry",
-    RecoveryStage.MAC_REPAIRED: "ce_mac_repair",
-    RecoveryStage.CORRECTED: "ce_flip_and_check",
-    RecoveryStage.FAILED: "due",
-}
 
 #: what a freshly provisioned error log checkpoints as
 _FRESH_ERRLOG = {
@@ -144,8 +132,8 @@ class TortureSpec:
 
     def durability(self) -> DurabilityConfig:
         # Checkpoints fire only when the harness asks: the telemetry
-        # shadow is snapshotted at the same instant, so "recovered
-        # errlog == shadow" is an exact equality, not a window.
+        # snapshot is taken at the same instant, so "recovered errlog ==
+        # snapshot" is an exact equality, not a window.
         return DurabilityConfig(
             checkpoint_interval=0,
             journal_capacity_records=0,
@@ -167,42 +155,7 @@ class TortureSpec:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "preset": self.preset,
-            "scheme_kwargs": dict(self.scheme_kwargs),
-            "group_count": self.group_count,
-            "cycles": self.cycles,
-            "ops_per_cycle": self.ops_per_cycle,
-            "batch": self.batch,
-            "kernel_mode": self.kernel_mode,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "spare_blocks": self.spare_blocks,
-            "ce_threshold": self.ce_threshold,
-            "due_threshold": self.due_threshold,
-            "write_fraction": self.write_fraction,
-            "transient_rate": self.transient_rate,
-            "stuck_rate": self.stuck_rate,
-            "burst_rate": self.burst_rate,
-        }
-
-
-@dataclass
-class ShadowModel:
-    """Ground truth the recovered stack is checked against."""
-
-    #: logical address -> last *acknowledged* plaintext
-    acked: dict[int, bytes] = field(default_factory=dict)
-    #: counter storage / scheme epoch at the last acknowledgement
-    floor_meta: dict[int, bytes] = field(default_factory=dict)
-    floor_epoch: int = 0
-    #: every physical block ever retired (must never serve again)
-    retired_ever: set[int] = field(default_factory=set)
-    #: telemetry captured at the last explicit checkpoint
-    checkpoint_errlog: dict[str, Any] = field(
-        default_factory=lambda: dict(_FRESH_ERRLOG)
-    )
-    checkpoint_health: dict[str, Any] = field(default_factory=dict)
+        return {**asdict(self), "scheme_kwargs": dict(self.scheme_kwargs)}
 
 
 @dataclass
@@ -300,7 +253,10 @@ class TortureCampaign:
         self.registry = MetricRegistry()
         self.store = DurableStore()
         self.models = spec.models()
-        self.shadow = ShadowModel()
+        self.oracle = ShadowOracle()
+        #: telemetry captured at the last explicit checkpoint
+        self.checkpoint_errlog: dict[str, Any] = dict(_FRESH_ERRLOG)
+        self.checkpoint_health: dict[str, Any] = {}
         self.report = TortureReport(spec=spec)
         self.stack = EngineStack(
             spec.engine_config(),
@@ -312,39 +268,24 @@ class TortureCampaign:
             resilience=spec.resilience_kwargs(),
             registry=self.registry,
         )
-        #: writes queued in the batch facade but not yet flushed (acked)
-        self.pending: list[tuple[int, bytes]] = []
 
-    # -- shadow bookkeeping --------------------------------------------------
-
-    def _ack_floors(self) -> None:
-        engine = self.stack.engine
-        self.shadow.floor_meta = dict(engine.counter_storage)
-        self.shadow.floor_epoch = getattr(engine.scheme, "epoch", 0)
+    # -- ground-truth bookkeeping --------------------------------------------
 
     def _flush_ack(self) -> None:
         """Seal the queued write run (one group commit) and acknowledge."""
-        if self.pending:
+        if self.oracle.queued:
+            self.oracle.submit()
             self.stack.flush()
             self.report.group_commits += 1
-            for address, data in self.pending:
-                self.shadow.acked[address] = data
-            self.pending.clear()
-        self._ack_floors()
+            self.oracle.ack()
+        self.oracle.pin(self.stack)
 
     def _write(self, address: int, data: bytes) -> None:
         self.report.writes += 1
         self.stack.write(address, data)
-        if self.spec.batch > 0:
-            self.pending.append((address, data))
-            if len(self.pending) >= self.spec.batch:
-                self._flush_ack()
-        else:
-            self.shadow.acked[address] = data
-            self._ack_floors()
-
-    def _expected(self, address: int) -> bytes:
-        return self.shadow.acked.get(address, _ZERO_BLOCK)
+        self.oracle.queue(address, data)
+        if len(self.oracle.queued) >= self.spec.batch:
+            self._flush_ack()
 
     def _read(self, address: int, cycle: int, why: str):
         """One resilient read with SDC detection and DUE repair."""
@@ -352,7 +293,7 @@ class TortureCampaign:
         self.report.reads += 1
         rec = self.stack.read(address)
         if rec.ok:
-            if rec.data != self._expected(address):
+            if not self.oracle.judge(address, rec.data):
                 self.report.sdc_total += 1
                 self.report.violations.append(
                     f"cycle {cycle}: SDC on {why} read of address "
@@ -360,25 +301,15 @@ class TortureCampaign:
                 )
         else:
             # Detected-uncorrectable: data destroyed by injected
-            # physics, flagged, software-repaired from the shadow --
+            # physics, flagged, software-repaired from the oracle --
             # the same contract the fault campaign enforces.
             self.report.due_repairs += 1
-            self._write(address, self._expected(address))
+            self._write(address, self.oracle.expected(address))
             self._flush_ack()
         # Retirement/degrade side effects sealed inside the read; the
         # acknowledged floor moves with them.
-        self._ack_floors()
+        self.oracle.pin(self.stack)
         return rec
-
-    # -- quarantine snapshots ------------------------------------------------
-
-    def _mapping_state(self) -> dict[str, Any]:
-        """The immediately-journaled slice of the quarantine state."""
-        state = self.stack.resilient.quarantine.state_dict()
-        return {
-            key: state[key]
-            for key in ("map", "retired", "free_spares", "degraded")
-        }
 
     def _health_state(self) -> dict[str, Any]:
         return self.stack.resilient.quarantine.state_dict()["health"]
@@ -386,14 +317,12 @@ class TortureCampaign:
     # -- campaign phases -----------------------------------------------------
 
     def _checkpoint(self) -> None:
-        """Explicit checkpoint + the telemetry shadow snapshot."""
+        """Explicit checkpoint + the telemetry snapshot."""
         self._flush_ack()
         self.stack.checkpoint()
         self.report.checkpoints += 1
-        self.shadow.checkpoint_errlog = (
-            self.stack.resilient.log.state_dict()
-        )
-        self.shadow.checkpoint_health = self._health_state()
+        self.checkpoint_errlog = self.stack.resilient.log.state_dict()
+        self.checkpoint_health = self._health_state()
 
     def _inject_and_observe(self, model: FaultModel, cycle: int) -> None:
         capacity = self.stack.capacity_blocks
@@ -407,7 +336,7 @@ class TortureCampaign:
             )
             self.report.injected[model.name] += 1
             rec = self._read(fault.block * BLOCK_BYTES, cycle, "demand")
-            self.report.primary[_STAGE_TO_PRIMARY[rec.stage]] += 1
+            self.report.primary[STAGE_TO_PRIMARY[rec.stage]] += 1
 
     def _traffic_op(self, cycle: int) -> None:
         for model in self.models:
@@ -424,14 +353,11 @@ class TortureCampaign:
             self._read(address, cycle, "background")
 
     def _crash_and_recover(self, cycle: int) -> None:
-        """Power-cut the volatile half, recover, verify vs the shadow."""
-        crash_mapping = self._mapping_state()
-        self.shadow.retired_ever.update(
-            int(text) for text in crash_mapping["retired"]
-        )
-        #: final value per never-flushed address (must NOT be durable)
-        phantom = dict(self.pending)
-        self.pending.clear()
+        """Power-cut the volatile half, recover, verify vs the oracle.
+
+        The cut falls between operations, after every mapping change
+        was pinned, so the sealed mapping is the last acknowledged one.
+        """
         try:
             self.stack, recovery = EngineStack.recover(
                 self.store,
@@ -449,77 +375,29 @@ class TortureCampaign:
             )
             raise
         self.report.recoveries += 1
-        self._verify_recovery(cycle, recovery, crash_mapping, phantom)
+        self._verify_recovery(cycle, recovery)
 
-    def _verify_recovery(
-        self,
-        cycle: int,
-        recovery,
-        crash_mapping: dict[str, Any],
-        phantom: dict[int, bytes],
-    ) -> None:
+    def _verify_recovery(self, cycle: int, recovery) -> None:
         bad = self.report.violations
-        # Integrity: recovery must have verified the rebuilt root.
-        if not recovery.root_verified:
-            bad.append(f"cycle {cycle}: tree root not verified by recovery")
-        # Quarantine mapping: journaled immediately, so the recovered
-        # mapping must *exactly* equal the crash-time mapping.
-        recovered_mapping = self._mapping_state()
-        if recovered_mapping != crash_mapping:
-            bad.append(
-                f"cycle {cycle}: quarantine mapping diverged from the "
-                f"crash-time state"
-            )
-        quarantine = self.stack.resilient.quarantine
-        for physical in sorted(self.shadow.retired_ever):
-            if not quarantine.is_retired(physical):
-                bad.append(
-                    f"cycle {cycle}: retired physical block {physical} "
-                    f"resurrected by recovery"
-                )
         # Telemetry: checkpoint-cadence durable -- recovered accounting
         # equals the snapshot at the last explicit checkpoint, exactly.
-        recovered_errlog = self.stack.resilient.log.state_dict()
-        if recovered_errlog != self.shadow.checkpoint_errlog:
+        # Checked before any read can add events.
+        if self.stack.resilient.log.state_dict() != self.checkpoint_errlog:
             bad.append(
                 f"cycle {cycle}: error-log accounting diverged from the "
                 f"last checkpoint snapshot"
             )
-        if self._health_state() != self.shadow.checkpoint_health:
+        if self._health_state() != self.checkpoint_health:
             bad.append(
                 f"cycle {cycle}: CE/DUE health history diverged from the "
                 f"last checkpoint snapshot"
             )
-        # Anti-replay: counters never regress below the acked floor.
-        engine = self.stack.engine
-        if getattr(engine.scheme, "epoch", 0) == self.shadow.floor_epoch:
-            for group, metadata in sorted(self.shadow.floor_meta.items()):
-                floor = engine.scheme.decode_metadata(metadata)
-                stored = engine.counter_storage.get(group)
-                now = (
-                    engine.scheme.decode_metadata(stored)
-                    if stored is not None
-                    else floor
-                )
-                for slot, (lo, cur) in enumerate(zip(floor, now)):
-                    if cur < lo:
-                        bad.append(
-                            f"cycle {cycle}: counter regression in group "
-                            f"{group} slot {slot} ({cur} < {lo})"
-                        )
-        # No replay of unacknowledged work: a batched write that never
-        # flushed has no sealed frame and must not be durable.
-        for address, queued in sorted(phantom.items()):
-            if queued == self._expected(address):
-                continue  # uninformative: both outcomes read identically
-            rec = self.stack.read(address)
-            if rec.ok and rec.data == queued:
-                bad.append(
-                    f"cycle {cycle}: unacknowledged batched write to "
-                    f"address {address:#x} survived the crash"
-                )
+        bad.extend(
+            f"cycle {cycle}: {violation}"
+            for violation in self.oracle.check_recovered(self.stack, recovery)
+        )
         # No SDC: every acknowledged block reads back (DUEs repaired).
-        for address in sorted(self.shadow.acked):
+        for address in sorted(self.oracle.acked):
             try:
                 self._read(address, cycle, "verification")
             except IntegrityError as err:
@@ -535,7 +413,7 @@ class TortureCampaign:
         cycles = self.spec.cycles if limit is None else min(
             self.spec.cycles, limit
         )
-        self._ack_floors()
+        self.oracle.pin(self.stack)
         for cycle in range(cycles):
             if cycle % self.spec.checkpoint_every == 0:
                 self._checkpoint()
@@ -558,7 +436,6 @@ def run_torture(
 
 
 __all__ = [
-    "ShadowModel",
     "TortureCampaign",
     "TortureReport",
     "TortureSpec",

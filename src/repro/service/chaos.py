@@ -1,7 +1,7 @@
 """``repro chaos``: disk faults x shard kills x overload, one campaign.
 
-Extends the loadgen shadow-verification harness (``repro loadgen``)
-with the full fault surface this service claims to survive:
+Extends the loadgen harness (``repro loadgen``) with the full fault
+surface this service claims to survive:
 
 * **disk faults** -- every tenant's :class:`~repro.faultfs.FaultFS`
   runs a seeded background :class:`~repro.faultfs.FaultProfile`, and
@@ -23,10 +23,10 @@ staleness**.  Every *acknowledged* write must read back exactly.  A
 *refused* mutation is allowed to leave the address at either the last
 acknowledged value or the attempted one -- a storage fault between the
 in-memory apply and the journal seal is genuinely ambiguous one level
-up -- so the shadow tracks a candidate *set* for such addresses and
-verification accepts either member, never a third value.  Every
-refusal must be typed: an ``internal`` error code anywhere fails the
-campaign.
+up -- so the :class:`~repro.oracle.ShadowOracle` tracks a candidate
+*set* for such addresses and accepts either member, never a third
+value.  Every refusal must be typed: an ``internal`` error code
+anywhere fails the campaign.
 
 The committed ``BENCH_chaos.json`` additionally carries a
 *retry-amplification* measurement (total client frame sends over
@@ -48,6 +48,7 @@ from typing import Any
 
 from repro.faultfs import FaultProfile
 from repro.obs.metrics import MetricRegistry
+from repro.oracle import ShadowOracle
 from repro.service.breaker import BreakerConfig
 from repro.service.endpoints import scrape
 from repro.service.errors import (
@@ -179,14 +180,12 @@ class ChaosSpec:
 
 
 class _ChaosTraffic:
-    """One tenant's traffic loop with ambiguity-aware ground truth.
+    """One tenant's traffic loop, judged by an ambiguity-aware oracle.
 
-    ``shadow`` holds the last *acknowledged* value per address.
-    ``ambiguous`` holds, for addresses whose latest mutation was
-    refused after possibly reaching the engine, the set of values a
-    read may legally return: the last acked value (or None for
-    never-acked) plus the attempted one.  Bounded staleness, no
-    fabricated ground truth.
+    A mutation refused after it may have reached the engine leaves its
+    addresses two-valued in the oracle (the last acked value or the
+    attempted one) until a later acknowledgement pins them.  Bounded
+    staleness, no fabricated ground truth.
     """
 
     def __init__(
@@ -211,8 +210,7 @@ class _ChaosTraffic:
             ),
         )
         self.rng = random.Random(f"repro.chaos/{spec.seed}/{tenant_id}")
-        self.shadow: dict[int, bytes] = {}
-        self.ambiguous: dict[int, set[bytes | None]] = {}
+        self.oracle = ShadowOracle()
         self.refusals: collections.Counter[str] = collections.Counter()
         self.logical_ops = 0
         self.acked_ops = 0
@@ -242,27 +240,6 @@ class _ChaosTraffic:
         blocks = self.capacity_bytes // BLOCK_BYTES
         return self.rng.randrange(blocks) * BLOCK_BYTES
 
-    def _acceptable(self, address: int) -> set[bytes | None]:
-        candidates = self.ambiguous.get(address)
-        if candidates is not None:
-            return candidates
-        return {self.shadow.get(address)}
-
-    def _mark_ambiguous(
-        self, writes: list[tuple[int, bytes]]
-    ) -> None:
-        """A refused mutation leaves each address two-valued."""
-        for address, attempted in writes:
-            candidates = self.ambiguous.setdefault(
-                address, {self.shadow.get(address)}
-            )
-            candidates.add(attempted)
-
-    def _ack(self, writes: list[tuple[int, bytes]]) -> None:
-        for address, data in writes:
-            self.shadow[address] = data
-            self.ambiguous.pop(address, None)
-
     async def _mutate(
         self, payload: dict[str, Any], writes: list[tuple[int, bytes]]
     ) -> None:
@@ -281,15 +258,15 @@ class _ChaosTraffic:
             # possibly applied in engine memory.  Two-valued from here
             # until a later ack pins it.
             self.refusals[error.code] += 1
-            self._mark_ambiguous(writes)
+            self.oracle.refuse(writes)
         except RETRYABLE_ERRORS as error:
             # Retry budget exhausted: the last attempt is ambiguous.
             self.refusals[error.code] += 1
-            self._mark_ambiguous(writes)
+            self.oracle.refuse(writes)
         except ServiceError as error:
             self.refusals[error.code] += 1
         else:
-            self._ack(writes)
+            self.oracle.ack(writes)
             self.acked_ops += 1
         finally:
             # repro-lint: disable=RL002
@@ -301,9 +278,9 @@ class _ChaosTraffic:
         if (
             spec.read_every
             and sequence % spec.read_every == 2
-            and self.shadow
+            and self.oracle.acked
         ):
-            address = self.rng.choice(sorted(self.shadow))
+            address = self.rng.choice(sorted(self.oracle.acked))
             try:
                 response = await self.client.request_retry({
                     "op": "read",
@@ -315,10 +292,9 @@ class _ChaosTraffic:
                 return
             data = response.get("data")
             seen = bytes.fromhex(data) if data else None
-            acceptable = self._acceptable(address)
-            if seen in acceptable:
+            if self.oracle.judge(address, seen):
                 self.acked_ops += 1
-                if address in self.ambiguous:
+                if address in self.oracle.ambiguous:
                     self.inline_ambiguous += 1
             else:
                 self.inline_mismatches += 1
@@ -360,21 +336,21 @@ class _ChaosTraffic:
         to -- an unwritten block legally reads as anything the engine
         initialises it to.
         """
+        oracle = self.oracle
         verified = sdc = ambiguous_ok = skipped = 0
-        for address in sorted(set(self.shadow) | set(self.ambiguous)):
-            if address not in self.shadow:
+        for address in sorted(set(oracle.acked) | set(oracle.ambiguous)):
+            if address not in oracle.acked:
                 skipped += 1
                 continue
-            acceptable = self._acceptable(address)
             while True:
                 try:
                     data = await self.client.read(self.tenant_id, address)
                     break
                 except QuotaExceeded:
                     await asyncio.sleep(0.05)
-            if data in acceptable:
+            if oracle.judge(address, data):
                 verified += 1
-                if address in self.ambiguous:
+                if address in oracle.ambiguous:
                     ambiguous_ok += 1
             else:
                 sdc += 1

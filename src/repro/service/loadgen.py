@@ -2,17 +2,17 @@
 
 ``repro loadgen`` self-hosts a :class:`ServiceSupervisor`, provisions N
 tenants across the shards, and drives concurrent per-tenant traffic
-(single writes, group-commit batches, and verifying reads) while
-keeping a **shadow copy** of every acknowledged write.  The shadow is
-the ground truth: at the end, every shadowed block is read back through
-the service and compared byte-for-byte -- any mismatch is silent data
-corruption and fails the run.
+(single writes, group-commit batches, and verifying reads) while a
+:class:`~repro.oracle.ShadowOracle` records every acknowledged write.
+The oracle is the ground truth: at the end, every acknowledged block is
+read back through the service and judged byte-for-byte -- any mismatch
+is silent data corruption and fails the run.
 
 Chaos mode (``kill_shard``) SIGKILLs one worker mid-run and restarts
 it.  In-flight requests surface :class:`ShardUnavailable`; the
 generator retries them idempotently (same (address, data) pair) until
-the restarted worker has replayed its journals, and only then records
-the write in the shadow.  An op's latency includes any such retry
+the restarted worker has replayed its journals, and only then
+acknowledges the write to the oracle.  An op's latency includes any such retry
 stall, so the reported p99 is the *user-visible* tail under a crash,
 not a fair-weather number.
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.metrics import MetricRegistry
+from repro.oracle import ShadowOracle
 from repro.service.endpoints import scrape
 from repro.service.errors import QuotaExceeded, ShardUnavailable
 from repro.service.quota import QuotaConfig
@@ -111,7 +112,7 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 class _TenantTraffic:
-    """One tenant's traffic loop + shadow ground truth."""
+    """One tenant's traffic loop + its ground-truth oracle."""
 
     def __init__(self, tenant_id: str, spec: LoadgenSpec,
                  root: pathlib.Path,
@@ -132,7 +133,7 @@ class _TenantTraffic:
         self.rng = random.Random(
             f"repro.loadgen/{spec.seed}/{tenant_id}"
         )
-        self.shadow: dict[int, bytes] = {}
+        self.oracle = ShadowOracle()
         self.latencies_ms: list[float] = []
         self.acked_ops = 0
         self.retried_ops = 0
@@ -187,8 +188,8 @@ class _TenantTraffic:
     async def _one_op(self, sequence: int) -> None:
         spec = self.spec
         if spec.read_every and sequence % spec.read_every == 2 \
-                and self.shadow:
-            address = self.rng.choice(sorted(self.shadow))
+                and self.oracle.acked:
+            address = self.rng.choice(sorted(self.oracle.acked))
             response = await self._timed({
                 "op": "read",
                 "tenant": self.tenant_id,
@@ -196,7 +197,7 @@ class _TenantTraffic:
             })
             data = response.get("data")
             seen = bytes.fromhex(data) if data else b""
-            if seen != self.shadow[address]:
+            if not self.oracle.judge(address, seen):
                 self.inline_mismatches += 1
             self.acked_ops += 1
         elif spec.batch_every and sequence % spec.batch_every == 1:
@@ -212,8 +213,7 @@ class _TenantTraffic:
                 "tenant": self.tenant_id,
                 "writes": [[a, d.hex()] for a, d in writes],
             })
-            for address, data in writes:
-                self.shadow[address] = data
+            self.oracle.ack(writes)
             self.acked_ops += len(writes)
         else:
             address = self._pick_address()
@@ -226,24 +226,24 @@ class _TenantTraffic:
                 "address": address,
                 "data": data.hex(),
             })
-            self.shadow[address] = data
+            self.oracle.ack([(address, data)])
             self.acked_ops += 1
 
     async def verify(self) -> tuple[int, int]:
-        """Read every shadowed block back; returns (verified, sdc).
+        """Read every acknowledged block back; returns (verified, sdc).
 
         Verification reads pay the same op quota as traffic, so a
         rate-limited tenant's sweep politely waits for bucket refills.
         """
         verified = sdc = 0
-        for address in sorted(self.shadow):
+        for address in sorted(self.oracle.acked):
             while True:
                 try:
                     data = await self.client.read(self.tenant_id, address)
                     break
                 except QuotaExceeded:
                     await asyncio.sleep(0.05)
-            if data == self.shadow[address]:
+            if self.oracle.judge(address, data):
                 verified += 1
             else:
                 sdc += 1
@@ -300,7 +300,7 @@ async def _drive(spec: LoadgenSpec, root: pathlib.Path,
             "acked_ops": tenant.acked_ops,
             "retried_ops": tenant.retried_ops,
             "quota_rejections": tenant.quota_rejections,
-            "shadow_blocks": len(tenant.shadow),
+            "shadow_blocks": len(tenant.oracle.acked),
             "inline_mismatches": tenant.inline_mismatches,
             "p50_ms": round(percentile(tenant.latencies_ms, 50), 3),
             "p99_ms": round(percentile(tenant.latencies_ms, 99), 3),

@@ -7,11 +7,10 @@ N in {1, 2, 4} and compare the bytes, and pin the supporting
 invariants (no wall-clock/PID leakage, sorted-key rendering, clean
 read-backs, zero paranoid divergence).
 
-The shared-memory transport adds two contracts of its own: the shm and
-legacy-pickle paths produce the same bytes (zero-copy is a transport
-property, never a payload property), and every shm segment is unlinked
-by the end of the run -- including when a worker crashes mid-task, so
-``/dev/shm`` never accumulates leaked ``repro-bench-*`` entries.
+The shared-memory transport adds a contract of its own: every shm
+segment is unlinked by the end of the run -- including when a worker
+crashes mid-task, so ``/dev/shm`` never accumulates leaked
+``repro-bench-*`` entries.
 """
 
 from __future__ import annotations
@@ -131,30 +130,13 @@ def _leaked_segments():
     return sorted(p.name for p in _DEV_SHM.glob(f"{SHM_PREFIX}*"))
 
 
-def test_shm_and_pickle_transports_byte_identical(rendered_by_workers):
-    # rendered_by_workers runs on the default (shm) transport; the
-    # legacy pickling path must produce the exact same bytes.
-    for workers in (1, 2):
-        assert (
-            render_payload(
-                run_bench(SPEC, workers=workers, transport="pickle")
-            )
-            == rendered_by_workers[1]
-        )
-
-
-def test_bench_rejects_unknown_transport():
-    with pytest.raises(ValueError):
-        run_bench(SPEC, workers=1, transport="carrier-pigeon")
-
-
 @pytest.mark.skipif(
     not _DEV_SHM.is_dir(), reason="no /dev/shm on this platform"
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shm_segments_unlinked_after_run(workers):
     before = _leaked_segments()
-    run_bench(SPEC, workers=workers, transport="shm")
+    run_bench(SPEC, workers=workers)
     assert _leaked_segments() == before
 
 
@@ -173,7 +155,7 @@ def test_shm_segments_unlinked_on_worker_crash(monkeypatch):
     # patch is guaranteed to take effect regardless of start method.
     monkeypatch.setattr(parallel, "_worker_shm", crash)
     with pytest.raises(RuntimeError, match="injected worker crash"):
-        run_bench(SPEC, workers=1, transport="shm")
+        run_bench(SPEC, workers=1)
     assert _leaked_segments() == before
 
 
@@ -194,7 +176,7 @@ def test_shm_segments_unlinked_on_pool_worker_crash(monkeypatch):
     # still unlink every segment.
     monkeypatch.setattr(parallel, "_worker_shm", _crash_worker)
     with pytest.raises(RuntimeError):
-        run_bench(SPEC, workers=2, transport="shm")
+        run_bench(SPEC, workers=2)
     assert _leaked_segments() == before
 
 

@@ -188,6 +188,30 @@ class TestRecoveryRefusals:
             )
         assert excinfo.value.phase is RecoveryPhase.VERIFY
 
+    def test_dropped_group_is_a_counter_regression(self, key48, monkeypatch):
+        """A recovery that loses a checkpointed group's metadata rolls its
+        counters back to the initial (all-zero) state; the floor check
+        must read the missing group that way, not as its own floor."""
+        engine, manager = durable_engine(key48, interval=0)
+        for address, data in writes(3):
+            engine.write(address, data)
+        manager.checkpoint()
+        restore = SecureMemory.restore_group_metadata
+
+        def restore_then_drop(self, group, metadata):
+            restore(self, group, metadata)  # the tree leaf still matches
+            if group == 0:
+                del self.counter_storage[group]
+
+        monkeypatch.setattr(
+            SecureMemory, "restore_group_metadata", restore_then_drop
+        )
+        with pytest.raises(RecoveryError, match="counter regression"):
+            recover(
+                manager.store, engine_config(), key48,
+                registry=MetricRegistry(),
+            )
+
 
 class TestPreBootstrapCrash:
     def test_empty_store_rebootstraps(self, key48):

@@ -92,13 +92,14 @@ class TestCampaign:
         assert obj["ok"] is True
 
     def test_campaign_exposes_shadow_invariants(self):
-        """White-box: the shadow model tracks every acknowledged write
-        and the retired-ever set only grows."""
+        """White-box: the oracle tracks every acknowledged write and the
+        retired-ever set only grows."""
         campaign = TortureCampaign(SMALL)
         report = campaign.run(limit=3)
         assert report.ok
-        assert len(campaign.shadow.acked) > 0
-        assert campaign.shadow.retired_ever == {
+        assert len(campaign.oracle.acked) > 0
+        assert not campaign.oracle.queued and not campaign.oracle.ambiguous
+        assert campaign.oracle.retired_ever == {
             int(k) for k in campaign.stack.resilient.quarantine.state_dict()[
                 "retired"
             ]
